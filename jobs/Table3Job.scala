@@ -9,7 +9,7 @@ import repro.bench.{BenchData, Tables}
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("ksir-table3")
+    val spark = SparkSession.builder().appName("ksir-table3")
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).getOrCreate()
     try {
       val rows = Tables.table3(spark).map { s =>

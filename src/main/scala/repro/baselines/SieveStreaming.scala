@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core._
-import scala.collection.mutable
 
 /** SieveStreaming (Badanidiyuru et al., KDD'14): one streaming pass over the
   * active elements (in arbitrary order — no ranked lists), maintaining
@@ -15,9 +14,7 @@ object SieveStreaming {
     require(k >= 1, "k must be at least 1")
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
-    val logBase = math.log1p(epsilon)
-    val candidates = mutable.SortedMap.empty[Int, CandidateState]
-    var deltaMax = 0.0
+    val ladder = new PhiLadder(engine, q, k, epsilon)
     var evaluated = 0
 
     // Like CELF, SieveStreaming has no index: singleton scores are computed
@@ -26,26 +23,18 @@ object SieveStreaming {
     engine.activeElements.foreach { ae =>
       evaluated += 1
       val d = probe.gain(ae)
-      if (d > deltaMax) {
-        deltaMax = d
-        val jLo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
-        val jHi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-        candidates.keys.filter(j => j < jLo || j > jHi).toSeq.foreach(candidates.remove)
-        (jLo to jHi).foreach { j =>
-          if (!candidates.contains(j)) candidates(j) = new CandidateState(engine, q)
-        }
-      }
-      candidates.foreach { case (j, s) =>
+      ladder.raise(d)
+      ladder.rungs.foreach { r =>
+        val s = r.state
         if (s.size < k) {
-          val phi = math.pow(1.0 + epsilon, j)
-          val tau = (phi / 2.0 - s.score) / (k - s.size)
+          val tau = (r.phi / 2.0 - s.score) / (k - s.size)
           val g = s.gain(ae)
           if (g > 0.0 && g >= tau) s.add(ae)
         }
       }
     }
 
-    candidates.valuesIterator.maxByOption(_.score) match {
+    ladder.best match {
       case Some(c) => KSirResult(c.members, c.score, evaluated, evaluated)
       case None    => KSirResult(Seq.empty, 0.0, evaluated, evaluated)
     }

@@ -35,7 +35,7 @@ object Sumblr {
 
     // k-means over sparse topic vectors (dense centroids, few iterations).
     var centroids: Array[Array[Double]] =
-      rnd.shuffle(vecs.indices.toList).take(k).map(i => dense(vecs(i), z)).toArray
+      rnd.shuffle(vecs.indices.toList).take(k).map(i => VectorOps.dense(vecs(i), z)).toArray
     var assign = new Array[Int](vecs.length)
     (0 until 10).foreach { _ =>
       assign = vecs.map(v => centroids.indices.maxBy(c => dot(v, centroids(c))))
@@ -74,10 +74,6 @@ object Sumblr {
         .take(k - picked.length).foreach(picked += _)
     }
     picked.toSeq
-  }
-
-  private def dense(v: Array[(Int, Double)], z: Int): Array[Double] = {
-    val a = new Array[Double](z); v.foreach { case (t, p) => a(t) = p }; a
   }
 
   private def dot(v: Array[(Int, Double)], c: Array[Double]): Double = {

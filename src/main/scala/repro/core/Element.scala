@@ -31,14 +31,12 @@ final case class Element(
   }
 
   /** p_i(e), 0 when the element has no mass on topic i. */
-  def pTopic(i: Int): Double = {
-    var j = 0
-    while (j < topics.length) {
-      if (topics(j)._1 == i) return topics(j)._2
-      j += 1
-    }
-    0.0
-  }
+  def pTopic(i: Int): Double = VectorOps.valueAt(topics, i)
+
+  /** The elements this one refers to, as the set Equation 4 sums over: a
+    * parent listed twice counts once, and an element is not its own child.
+    */
+  def parents: Array[Long] = refs.distinct.filter(_ != id)
 }
 
 /** A bucket B_t: the elements with `ts ∈ [t-L+1, t]`, delivered when the

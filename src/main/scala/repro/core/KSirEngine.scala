@@ -26,25 +26,21 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   val children = mutable.ArrayBuffer.empty[ChildRef]
 
   /** σ_i(w,e) for each distinct word, one array per supported topic. */
-  val sigma: Array[Array[(Int, Double)]] = elem.topics.map { case (i, pe) =>
-    elem.wordFreqs.map { case (w, freq) =>
-      val p = model.pWord(i, w) * pe
-      val s = if (p > 0.0) -freq * p * math.log(p) else 0.0
-      (w, s)
-    }
-  }
+  val sigma: Array[Array[(Int, Double)]] =
+    elem.topics.map { case (i, pe) => ActiveElement.sigma(model, elem, i, pe) }
 
   /** R_i(e): semantic score per supported topic (static). */
-  val rScore: Array[Double] = sigma.map(_.map(_._2).sum)
+  val rScore: Array[Double] = sigma.map(ActiveElement.rScore)
 
   /** Σ_{c ∈ children} p_i(c) per supported topic; I_{i,t}(e) = p_i(e)·sum. */
   private val childPSum: Array[Double] = new Array[Double](elem.topics.length)
 
-  private def entryIdx(topic: Int): Int = {
-    var j = 0
-    while (j < elem.topics.length) { if (elem.topics(j)._1 == topic) return j; j += 1 }
-    -1
-  }
+  /** The δ_i each ranked list RL_i currently files this element under, so
+    * the engine can find its tuples again to move or remove them.
+    */
+  private[core] val filed: Array[Double] = new Array[Double](elem.topics.length)
+
+  private def entryIdx(topic: Int): Int = VectorOps.indexOf(elem.topics, topic)
 
   /** I_{i,t}(e) for the singleton set (Equation 4 with S = {e}). */
   def influence(topic: Int): Double = {
@@ -61,9 +57,12 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
   /** δ_i(e) = f_i({e}) = λ·R_i(e) + (1-λ)/η·I_{i,t}(e). */
   def delta(topic: Int): Double = {
     val j = entryIdx(topic)
-    if (j < 0) 0.0
-    else lambda * rScore(j) + (1.0 - lambda) / eta * elem.topics(j)._2 * childPSum(j)
+    if (j < 0) 0.0 else deltaAt(j)
   }
+
+  /** δ_i(e) for the j-th entry of the topic support. */
+  private[core] def deltaAt(j: Int): Double =
+    lambda * rScore(j) + (1.0 - lambda) / eta * elem.topics(j)._2 * childPSum(j)
 
   /** σ_i(w,e) pairs for a topic, empty outside the support. */
   def sigmaFor(topic: Int): Array[(Int, Double)] = {
@@ -75,7 +74,7 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     children += c
     var j = 0
     while (j < elem.topics.length) {
-      childPSum(j) += pOf(c.childTopics, elem.topics(j)._1)
+      childPSum(j) += VectorOps.valueAt(c.childTopics, elem.topics(j)._1)
       j += 1
     }
   }
@@ -91,18 +90,27 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     var j = 0
     while (j < elem.topics.length) {
       var s = 0.0
-      kept.foreach(c => s += pOf(c.childTopics, elem.topics(j)._1))
+      kept.foreach(c => s += VectorOps.valueAt(c.childTopics, elem.topics(j)._1))
       childPSum(j) = s
       j += 1
     }
     true
   }
+}
 
-  private def pOf(topics: Array[(Int, Double)], topic: Int): Double = {
-    var j = 0
-    while (j < topics.length) { if (topics(j)._1 == topic) return topics(j)._2; j += 1 }
-    0.0
-  }
+object ActiveElement {
+
+  /** σ_i(w,e) = −γ(w,e)·p_i(w,e)·log p_i(w,e), p_i(w,e) = p_i(w)·p_i(e), for
+    * each distinct word of e in word order (Equation 3's word weights).
+    */
+  def sigma(model: TopicModel, e: Element, topic: Int, pe: Double): Array[(Int, Double)] =
+    e.wordFreqs.map { case (w, freq) =>
+      val p = model.pWord(topic, w) * pe
+      (w, if (p > 0.0) -freq * p * math.log(p) else 0.0)
+    }
+
+  /** R_i(e) = Σ_w σ_i(w,e), summed in word order. */
+  def rScore(sigma: Array[(Int, Double)]): Double = sigma.map(_._2).sum
 }
 
 /** The k-SIR maintenance engine (Figure 4): the Active Window `A_t`, the
@@ -143,11 +151,6 @@ final class KSirEngine(
     Array.fill(model.z)(mutable.TreeSet.empty[(Double, Long)](
       Ordering.Tuple2(Ordering[Double].reverse, Ordering[Long].reverse)))
 
-  /** Current scores of each element in each list it appears in, so stale
-    * tuples can be located and removed on adjustment.
-    */
-  private val listed = mutable.LongMap.empty[Array[Double]]
-
   private var nowTs: Long = 0L
 
   /** Current time t (end of the last ingested bucket). */
@@ -166,10 +169,15 @@ final class KSirEngine(
   def childCount(id: Long): Int = active.get(id).map(_.children.length).getOrElse(0)
 
   /** Ingest one bucket B_t and slide the window to `bucket.endTs`
-    * (Algorithm 1, lines 3–13).
+    * (Algorithm 1, lines 3–13). Rejects (`require`) an element whose ts lies
+    * outside (`now`, `bucket.endTs`] or whose id was ingested before.
     */
   def advance(bucket: Bucket): Unit = {
     require(bucket.endTs > nowTs, s"buckets must advance time: ${bucket.endTs} <= $nowTs")
+    bucket.elements.foreach { e =>
+      require(e.ts > nowTs && e.ts <= bucket.endTs,
+        s"element ${e.id} has ts ${e.ts} outside its bucket ($nowTs, ${bucket.endTs}]")
+    }
     nowTs = bucket.endTs
     val windowStart = nowTs - window + 1
 
@@ -177,11 +185,11 @@ final class KSirEngine(
     // timestamp order (references always point strictly backwards in time,
     // so parents are inserted before their children's refs are applied).
     bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
+      require(archive.put(e.id, e).isEmpty, s"duplicate element id ${e.id}")
       val ae = new ActiveElement(e, model, lambda, eta)
-      archive(e.id) = e
       active(e.id) = ae
       insertIntoLists(ae)
-      e.refs.foreach { pid =>
+      e.parents.foreach { pid =>
         val parentOpt = active.get(pid).orElse {
           // Resurrect a discarded element the moment it is referred again:
           // it re-enters A_t with no in-window children (any earlier child
@@ -216,41 +224,35 @@ final class KSirEngine(
   }
 
   private def insertIntoLists(ae: ActiveElement): Unit = {
-    val scores = new Array[Double](ae.elem.topics.length)
     var j = 0
     while (j < ae.elem.topics.length) {
-      val topic = ae.elem.topics(j)._1
-      val s = ae.delta(topic)
-      scores(j) = s
-      lists(topic).add((s, ae.elem.id))
+      val s = ae.deltaAt(j)
+      ae.filed(j) = s
+      lists(ae.elem.topics(j)._1).add((s, ae.elem.id))
       j += 1
     }
-    listed(ae.elem.id) = scores
   }
 
   private def refreshLists(ae: ActiveElement): Unit = {
-    val scores = listed(ae.elem.id)
     var j = 0
     while (j < ae.elem.topics.length) {
       val topic = ae.elem.topics(j)._1
-      val s = ae.delta(topic)
-      if (s != scores(j)) {
-        lists(topic).remove((scores(j), ae.elem.id))
+      val s = ae.deltaAt(j)
+      if (s != ae.filed(j)) {
+        lists(topic).remove((ae.filed(j), ae.elem.id))
         lists(topic).add((s, ae.elem.id))
-        scores(j) = s
+        ae.filed(j) = s
       }
       j += 1
     }
   }
 
   private def removeFromLists(ae: ActiveElement): Unit = {
-    val scores = listed(ae.elem.id)
     var j = 0
     while (j < ae.elem.topics.length) {
-      lists(ae.elem.topics(j)._1).remove((scores(j), ae.elem.id))
+      lists(ae.elem.topics(j)._1).remove((ae.filed(j), ae.elem.id))
       j += 1
     }
-    listed.remove(ae.elem.id)
   }
 
   /** Sorted (score desc) snapshot iterator over RL_i. */

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** MULTI-TOPIC THRESHOLDSTREAM (Algorithm 2): threshold-bucket candidates fed
   * from the ranked lists in decreasing order of x-weighted topic score, with
   * early termination once the upper bound UB(x) on unretrieved elements falls
@@ -17,21 +15,14 @@ object MTTS {
     require(epsilon > 0 && epsilon < 1, "ε must lie in (0,1)")
 
     val cursor = new RankedListCursor(engine, q)
-    val logBase = math.log1p(epsilon)
-    // Candidates keyed by exponent j, φ = (1+ε)^j.
-    val candidates = mutable.SortedMap.empty[Int, CandidateState]
-    var deltaMax = 0.0
+    val ladder = new PhiLadder(engine, q, k, epsilon)
     var evaluated = 0
 
-    def phi(j: Int): Double = math.pow(1.0 + epsilon, j)
-
-    def threshold: Double = {
-      // TH: min φ/2k over unfilled candidates; +∞ when every candidate is
-      // full (no further element can be admitted anywhere).
-      val open = candidates.iterator.filter(_._2.size < k)
-      if (candidates.isEmpty) 0.0
-      else open.map { case (j, _) => phi(j) / (2.0 * k) }.minOption.getOrElse(Double.PositiveInfinity)
-    }
+    // TH: min φ/2k over unfilled candidates, i.e. the lowest open rung's;
+    // +∞ when every candidate is full (no element can be admitted anywhere).
+    def threshold: Double =
+      if (ladder.rungs.isEmpty) 0.0
+      else ladder.rungs.find(_.state.size < k).fold(Double.PositiveInfinity)(_.phi / (2.0 * k))
 
     var ub = cursor.upperBound
     var th = 0.0
@@ -40,27 +31,17 @@ object MTTS {
       if (ae != null) {
         evaluated += 1
         val deltaE = engine.deltaScore(ae, q)
-        if (deltaE > deltaMax) {
-          deltaMax = deltaE
-          // Maintain Φ = { (1+ε)^j : δmax ≤ (1+ε)^j ≤ 2·k·δmax }.
-          val jLo = math.ceil(math.log(deltaMax) / logBase - 1e-9).toInt
-          val jHi = math.floor(math.log(2.0 * k * deltaMax) / logBase + 1e-9).toInt
-          candidates.keys.filter(j => j < jLo || j > jHi).toSeq.foreach(candidates.remove)
-          (jLo to jHi).foreach { j =>
-            if (!candidates.contains(j)) candidates(j) = new CandidateState(engine, q)
-          }
-        }
-        candidates.foreach { case (j, s) =>
-          val tau = phi(j) / (2.0 * k)
-          if (deltaE >= tau && s.size < k && s.gain(ae) >= tau) s.add(ae)
+        ladder.raise(deltaE)
+        ladder.rungs.foreach { r =>
+          val tau = r.phi / (2.0 * k)
+          if (deltaE >= tau && r.state.size < k && r.state.gain(ae) >= tau) r.state.add(ae)
         }
       }
       th = threshold
       ub = cursor.upperBound
     }
 
-    val best = candidates.valuesIterator.maxByOption(_.score)
-    best match {
+    ladder.best match {
       case Some(c) => KSirResult(c.members, c.score, evaluated, cursor.retrievedCount)
       case None    => KSirResult(Seq.empty, 0.0, evaluated, cursor.retrievedCount)
     }

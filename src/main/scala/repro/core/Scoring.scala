@@ -39,10 +39,11 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     var qi = 0
     while (qi < q.entries.length) {
       val (topic, xi) = q.entries(qi)
-      val pe = ae.elem.pTopic(topic)
+      val ei = VectorOps.indexOf(ae.elem.topics, topic)
+      val pe = if (ei < 0) 0.0 else ae.elem.topics(ei)._2
       if (pe > 0.0) {
         var dR = 0.0
-        val sig = ae.sigmaFor(topic)
+        val sig = ae.sigma(ei)
         var j = 0
         while (j < sig.length) {
           val (w, s) = sig(j)
@@ -52,7 +53,7 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
         }
         var dI = 0.0
         ae.children.foreach { c =>
-          val pc = pOf(c.childTopics, topic)
+          val pc = VectorOps.valueAt(c.childTopics, topic)
           if (pc > 0.0) {
             val prod = prodComp(qi).getOrElse(c.childId, 1.0)
             dI += prod * pe * pc
@@ -74,10 +75,11 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     var qi = 0
     while (qi < q.entries.length) {
       val (topic, xi) = q.entries(qi)
-      val pe = ae.elem.pTopic(topic)
+      val ei = VectorOps.indexOf(ae.elem.topics, topic)
+      val pe = if (ei < 0) 0.0 else ae.elem.topics(ei)._2
       if (pe > 0.0) {
         var dR = 0.0
-        val sig = ae.sigmaFor(topic)
+        val sig = ae.sigma(ei)
         var j = 0
         while (j < sig.length) {
           val (w, s) = sig(j)
@@ -87,7 +89,7 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
         }
         var dI = 0.0
         ae.children.foreach { c =>
-          val pc = pOf(c.childTopics, topic)
+          val pc = VectorOps.valueAt(c.childTopics, topic)
           if (pc > 0.0) {
             val p = pe * pc
             val prod = prodComp(qi).getOrElse(c.childId, 1.0)
@@ -101,12 +103,6 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
     }
     fScore += total
     memberIds += ae.elem.id
-  }
-
-  private def pOf(topics: Array[(Int, Double)], topic: Int): Double = {
-    var j = 0
-    while (j < topics.length) { if (topics(j)._1 == topic) return topics(j)._2; j += 1 }
-    0.0
   }
 }
 

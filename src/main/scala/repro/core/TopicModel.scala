@@ -52,18 +52,10 @@ final case class QueryVector(entries: Array[(Int, Double)]) {
   /** d: the number of non-zero entries (used in the complexity analyses). */
   def d: Int = entries.length
 
-  def x(i: Int): Double = {
-    var j = 0
-    while (j < entries.length) { if (entries(j)._1 == i) return entries(j)._2; j += 1 }
-    0.0
-  }
+  def x(i: Int): Double = VectorOps.valueAt(entries, i)
 
   /** Dense copy, for cosine-based baselines. */
-  def dense(z: Int): Array[Double] = {
-    val a = new Array[Double](z)
-    entries.foreach { case (i, v) => a(i) = v }
-    a
-  }
+  def dense(z: Int): Array[Double] = VectorOps.dense(entries, z)
 }
 
 object QueryVector {
@@ -74,8 +66,32 @@ object QueryVector {
     QueryVector(model.infer(keywords, maxTopics))
 }
 
-/** Shared vector math for the cosine-similarity baselines. */
+/** Math on sparse vectors: (index, value) arrays such as an element's
+  * topic distribution p_i(e) or a query vector x, sorted by index.
+  */
 object VectorOps {
+
+  /** Position of index i in v, or -1 when v has no entry for it. */
+  def indexOf(v: Array[(Int, Double)], i: Int): Int = {
+    // Vectors hold a handful of entries, so a scan beats a binary search.
+    var j = 0
+    while (j < v.length) { if (v(j)._1 == i) return j; j += 1 }
+    -1
+  }
+
+  /** v_i, 0 when v has no entry for index i. */
+  def valueAt(v: Array[(Int, Double)], i: Int): Double = {
+    val j = indexOf(v, i)
+    if (j < 0) 0.0 else v(j)._2
+  }
+
+  /** Dense copy of v over indices 0 until n. */
+  def dense(v: Array[(Int, Double)], n: Int): Array[Double] = {
+    val a = new Array[Double](n)
+    v.foreach { case (i, x) => a(i) = x }
+    a
+  }
+
   def cosineSparse(a: Array[(Int, Double)], b: Array[(Int, Double)]): Double = {
     // Both sorted by index: linear merge.
     var i = 0; var j = 0; var dot = 0.0; var na = 0.0; var nb = 0.0

@@ -84,13 +84,7 @@ object SocialStreamGen {
     val rnd = new Random(config.seed)
     val model = topicModel(config.z, config.vocabSize, config.seed * 31 + 1)
     // Per-topic cumulative distributions for word sampling.
-    val cdfs = model.topicWord.map { row =>
-      val c = new Array[Double](row.length)
-      var acc = 0.0
-      var i = 0
-      while (i < row.length) { acc += row(i); c(i) = acc; i += 1 }
-      c
-    }
+    val cdfs = model.topicWord.map(new Cdf(_, norm = 1.0))
 
     // Topic popularity is itself mildly Zipfian: some topics trend, but (as
     // in the paper's corpora) every sizable topic has its own viral
@@ -99,14 +93,9 @@ object SocialStreamGen {
     val topicRank = rnd.shuffle((0 until config.z).toList).toArray
     val topicCdf = {
       val raw = Array.tabulate(config.z)(r => 1.0 / math.pow(r + 1.0, 0.45))
-      val norm = raw.sum
-      val c = new Array[Double](config.z)
-      var acc = 0.0
-      var i = 0
-      while (i < config.z) { acc += raw(i) / norm; c(i) = acc; i += 1 }
-      c
+      new Cdf(raw, raw.sum)
     }
-    def drawTopic(): Int = topicRank(search(topicCdf, rnd.nextDouble()))
+    def drawTopic(): Int = topicRank(topicCdf.draw(rnd.nextDouble()))
 
     def poisson(mean: Double): Int = {
       // Knuth's method; means here are small (< 60).
@@ -128,12 +117,7 @@ object SocialStreamGen {
     val nAuthors = math.max(10, config.nElements / 20)
     val authorCdf = {
       val raw = Array.tabulate(nAuthors)(r => 1.0 / (r + 1.0))
-      val norm = raw.sum
-      val c = new Array[Double](nAuthors)
-      var acc = 0.0
-      var i = 0
-      while (i < nAuthors) { acc += raw(i) / norm; c(i) = acc; i += 1 }
-      c
+      new Cdf(raw, raw.sum)
     }
 
     val authorPosts = new Array[Int](nAuthors)
@@ -155,16 +139,10 @@ object SocialStreamGen {
 
       // Words drawn from the element's topic mixture.
       val len = math.max(1, poisson(config.avgLen))
-      val topicsCdf = {
-        val c = new Array[Double](topics.length)
-        var acc = 0.0
-        var i = 0
-        while (i < topics.length) { acc += topics(i)._2; c(i) = acc; i += 1 }
-        c
-      }
+      val topicsCdf = new Cdf(topics.map(_._2), norm = 1.0)
       val words = Array.fill(len) {
-        val t = topics(search(topicsCdf, rnd.nextDouble()))._1
-        search(cdfs(t), rnd.nextDouble())
+        val t = topics(topicsCdf.draw(rnd.nextDouble()))._1
+        cdfs(t).draw(rnd.nextDouble())
       }
 
       // References: mostly same-dominant-topic recent elements, preferential
@@ -193,7 +171,7 @@ object SocialStreamGen {
       }
       refs.foreach(id => inDegree(id.toInt) += 1)
 
-      val author = search(authorCdf, rnd.nextDouble())
+      val author = authorCdf.draw(rnd.nextDouble())
       authorPosts(author) += 1
       out += Element(idx.toLong, ts, words, refs.toArray, topics, author = author.toLong)
       inDegree += 0
@@ -212,17 +190,6 @@ object SocialStreamGen {
   private def trimPool(pool: mutable.ArrayBuffer[Int], out: mutable.ArrayBuffer[Element], minTs: Long): Unit = {
     val kept = pool.filter(i => out(i).ts >= minTs)
     pool.clear(); pool ++= kept
-  }
-
-  /** First index whose cumulative value exceeds u (binary search). */
-  private def search(cdf: Array[Double], u: Double): Int = {
-    var lo = 0
-    var hi = cdf.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (cdf(mid) < u) lo = mid + 1 else hi = mid
-    }
-    lo
   }
 
   /** The stream as a DataFrame for the Spark pipeline and oracle checks. */

@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import repro.core.{Bucket, Element, TopicModel}
+import repro.core.{ActiveElement, Bucket, Element, TopicModel}
 
 /** Event delivered to the per-topic stateful operator. Three kinds:
   *  - `kind = 0` (insert): element `id` with semantic score `rScore` and
@@ -75,13 +75,13 @@ object StreamingRankedLists {
       val rows = b.elements.flatMap { e =>
         elemOf(e.id) = e
         val inserts = e.topics.map { case (t, pe) =>
-          TopicEvent(t, 0, e.id, e.ts, b.endTs, semantic(model, e, t, pe), pe, 0L, 0)
+          TopicEvent(t, 0, e.id, e.ts, b.endTs, rScore(model, e, t, pe), pe, 0L, 0)
         }
-        val refs = e.refs.toSeq.flatMap { pid =>
+        val refs = e.parents.toSeq.flatMap { pid =>
           elemOf.get(pid).toSeq.flatMap { parent =>
             parent.topics.map { case (t, pp) =>
               TopicEvent(t, 1, e.id, e.ts, b.endTs, 0, 0, pid, e.pTopic(t),
-                parentTs = parent.ts, parentR = semantic(model, parent, t, pp), parentP = pp)
+                parentTs = parent.ts, parentR = rScore(model, parent, t, pp), parentP = pp)
             }
           }
         }
@@ -91,12 +91,8 @@ object StreamingRankedLists {
     }
   }
 
-  /** R_i(e) for one topic — Σ_w −γ(w,e)·p_i(w,e)·log p_i(w,e). */
-  def semantic(model: TopicModel, e: Element, topic: Int, pe: Double): Double =
-    e.wordFreqs.map { case (w, freq) =>
-      val p = model.pWord(topic, w) * pe
-      if (p > 0) -freq * p * math.log(p) else 0.0
-    }.sum
+  private def rScore(model: TopicModel, e: Element, topic: Int, pe: Double): Double =
+    ActiveElement.rScore(ActiveElement.sigma(model, e, topic, pe))
 
   /** The stateful dataflow: events keyed by topic, state = the topic's list,
     * output = the top-`topN` ranked entries after each bucket.

@@ -125,6 +125,24 @@ class KSirEngineSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](eng.advance(Bucket(5, Seq.empty)))
   }
 
+  test("advance rejects a duplicate element id") {
+    val eng = mk()
+    eng.advance(Bucket(1, Seq(el(1, 1, Seq(0), Seq(0 -> 1.0)))))
+    intercept[IllegalArgumentException](eng.advance(Bucket(2, Seq(el(1, 2, Seq(1), Seq(0 -> 1.0))))))
+    val same = mk()
+    intercept[IllegalArgumentException](same.advance(Bucket(1, Seq(
+      el(1, 1, Seq(0), Seq(0 -> 1.0)), el(1, 1, Seq(1), Seq(0 -> 1.0))))))
+  }
+
+  test("advance rejects an element outside (previous now, bucket end]") {
+    intercept[IllegalArgumentException](mk().advance(Bucket(5, Seq(el(1, 100, Seq(0), Seq(0 -> 1.0))))))
+    val eng = mk(window = 10)
+    eng.advance(Bucket(5, Seq(el(1, 5, Seq(0), Seq(0 -> 1.0)))))
+    intercept[IllegalArgumentException](eng.advance(Bucket(10, Seq(el(2, 5, Seq(0), Seq(0 -> 1.0))))))
+    eng.advance(Bucket(10, Seq(el(2, 6, Seq(0), Seq(0 -> 1.0)), el(3, 10, Seq(0), Seq(0 -> 1.0)))))
+    assert(eng.activeCount == 3)
+  }
+
   test("engine rejects invalid parameters") {
     intercept[IllegalArgumentException](new KSirEngine(model, 0, 0.5, 1.0))
     intercept[IllegalArgumentException](new KSirEngine(model, 10, 1.5, 1.0))

@@ -3,7 +3,6 @@ package repro.metrics
 import repro.{Oracle, SparkSpec}
 import repro.core._
 import repro.data.{PaperExample, SocialStreamGen, StreamConfig}
-import org.apache.spark.sql.functions._
 
 /** Table 5/6 metric implementations: Spark vs local vs DuckDB oracle. */
 class EvalMetricsSpec extends SparkSpec {
