@@ -2,28 +2,27 @@ package repro.core
 
 import scala.collection.mutable
 
-/** A reference from a child element within the current window to a parent.
-  * The child's topic distribution is snapshotted so influence scores can be
-  * recomputed without a lookup race during expiry.
-  */
-final case class ChildRef(childId: Long, childTs: Long, childTopics: Array[(Int, Double)])
-
 /** An element held in the active window together with all per-topic state the
   * ranked lists need: the static semantic score `R_i(e)`, the word weights
-  * `σ_i(w,e)`, the time-varying singleton influence `I_{i,t}(e)`, and the
-  * timestamp `t_e` when the element was last referred to (its own arrival
-  * counts, per Algorithm 1).
+  * `σ_i(w,e)`, and the time-varying singleton influence `I_{i,t}(e)`, which
+  * comes from the element's in-window children.
+  *
+  * Algorithm 1's t_e (the element's own time or that of its latest
+  * reference) is not stored. Children arrive in (ts, id) order, so once the
+  * expired ones are dropped, t_e ≥ t−T+1 holds iff the element's own ts is
+  * in the window or a child remains.
   *
   * All per-topic arrays are aligned with `elem.topics` (the element's sparse
   * topic support).
   */
 final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, eta: Double) {
 
-  /** Last time this element was posted or referred to (t_e in Algorithm 1). */
-  var lastReferred: Long = elem.ts
+  private val childBuf = mutable.ArrayBuffer.empty[Element]
 
-  /** In-window children: elements of W_t that refer to this element. */
-  val children = mutable.ArrayBuffer.empty[ChildRef]
+  /** In-window children: elements of W_t that refer to this element, in
+    * arrival order (non-decreasing ts).
+    */
+  def children: collection.IndexedSeq[Element] = childBuf
 
   /** σ_i(w,e) for each distinct word, one array per supported topic. */
   val sigma: Array[Array[(Int, Double)]] =
@@ -70,27 +69,28 @@ final class ActiveElement(val elem: Element, model: TopicModel, lambda: Double, 
     if (j < 0) Array.empty else sigma(j)
   }
 
-  private[core] def addChild(c: ChildRef): Unit = {
-    children += c
+  private[core] def addChild(c: Element): Unit = {
+    childBuf += c
     var j = 0
     while (j < elem.topics.length) {
-      childPSum(j) += VectorOps.valueAt(c.childTopics, elem.topics(j)._1)
+      childPSum(j) += c.pTopic(elem.topics(j)._1)
       j += 1
     }
   }
 
-  /** Drop children with ts < windowStart; returns true if any were dropped. */
+  /** Drop children with ts < windowStart, a prefix since children arrive in
+    * ts order; returns true if any were dropped.
+    */
   private[core] def expireChildren(windowStart: Long): Boolean = {
-    val before = children.length
-    if (before == 0) return false
-    val kept = children.filter(_.childTs >= windowStart)
-    if (kept.length == before) return false
-    children.clear(); children ++= kept
+    val firstKept = childBuf.indexWhere(_.ts >= windowStart)
+    val n = if (firstKept < 0) childBuf.length else firstKept
+    if (n == 0) return false
+    childBuf.remove(0, n)
     // Recompute sums from scratch to avoid float drift accumulating.
     var j = 0
     while (j < elem.topics.length) {
       var s = 0.0
-      kept.foreach(c => s += VectorOps.valueAt(c.childTopics, elem.topics(j)._1))
+      childBuf.foreach(c => s += c.pTopic(elem.topics(j)._1))
       childPSum(j) = s
       j += 1
     }
@@ -182,8 +182,8 @@ final class KSirEngine(
     val windowStart = nowTs - window + 1
 
     // Insert each element and propagate its references to parents, in
-    // timestamp order (references always point strictly backwards in time,
-    // so parents are inserted before their children's refs are applied).
+    // (ts, id) order: a reference counts only if its parent came earlier in
+    // that order, so every parent's children arrive in non-decreasing ts.
     bucket.elements.sortBy(e => (e.ts, e.id)).foreach { e =>
       require(archive.put(e.id, e).isEmpty, s"duplicate element id ${e.id}")
       val ae = new ActiveElement(e, model, lambda, eta)
@@ -202,25 +202,26 @@ final class KSirEngine(
           }
         }
         parentOpt.foreach { parent =>
-          parent.addChild(ChildRef(e.id, e.ts, e.topics))
-          parent.lastReferred = math.max(parent.lastReferred, e.ts)
+          parent.addChild(e)
           refreshLists(parent)
         }
       }
     }
 
-    // Expire: drop elements never referred to after t-T+1; for survivors,
-    // drop expired children and refresh their influence scores. (The paper's
-    // Algorithm 1 only deletes expired tuples; refreshing parents of expired
-    // children is required for δ_i to match Equation 4 exactly — see DESIGN.)
-    val expired = active.valuesIterator.filter(_.lastReferred < windowStart).map(_.elem.id).toArray
-    expired.foreach { id =>
-      removeFromLists(active(id))
-      active.remove(id)
-    }
+    // Expire, in one pass over A_t: drop each element's expired children,
+    // then drop the element if it has left W_t ∪ refs(W_t), else refresh its
+    // lists. (The paper's Algorithm 1 only deletes expired tuples; refreshing
+    // parents of expired children is required for δ_i to match Equation 4
+    // exactly — see DESIGN.)
+    val expired = mutable.ArrayBuffer.empty[Long]
     active.valuesIterator.foreach { ae =>
-      if (ae.expireChildren(windowStart)) refreshLists(ae)
+      val changed = ae.expireChildren(windowStart)
+      if (ae.elem.ts < windowStart && ae.children.isEmpty) {
+        removeFromLists(ae)
+        expired += ae.elem.id
+      } else if (changed) refreshLists(ae)
     }
+    active --= expired
   }
 
   private def insertIntoLists(ae: ActiveElement): Unit = {

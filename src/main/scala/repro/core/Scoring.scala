@@ -34,7 +34,22 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
   def contains(id: Long): Boolean = memberIds.contains(id)
 
   /** Δ(e|S) = f(S ∪ {e}, x) − f(S, x). Does not mutate state. */
-  def gain(ae: ActiveElement): Double = {
+  def gain(ae: ActiveElement): Double = delta(ae, commit = false)
+
+  /** Add e to S, updating coverage state and the cached f(S, x).
+    * Idempotent: S is a set, so re-adding a member is a no-op.
+    */
+  def add(ae: ActiveElement): Unit = {
+    if (memberIds.contains(ae.elem.id)) return
+    fScore += delta(ae, commit = true)
+    memberIds += ae.elem.id
+  }
+
+  /** Δ(e|S); with `commit`, also records e's word coverage and influence in
+    * the state. σ has one entry per distinct word and e one entry per child,
+    * so recording as the loop goes cannot change the Δ it returns.
+    */
+  private def delta(ae: ActiveElement, commit: Boolean): Double = {
     var total = 0.0
     var qi = 0
     while (qi < q.entries.length) {
@@ -48,15 +63,20 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
         while (j < sig.length) {
           val (w, s) = sig(j)
           val c = covered(qi).getOrElse(w.toLong, 0.0)
-          if (s > c) dR += s - c
+          if (s > c) {
+            dR += s - c
+            if (commit) covered(qi)(w.toLong) = s
+          }
           j += 1
         }
         var dI = 0.0
         ae.children.foreach { c =>
-          val pc = VectorOps.valueAt(c.childTopics, topic)
+          val pc = c.pTopic(topic)
           if (pc > 0.0) {
-            val prod = prodComp(qi).getOrElse(c.childId, 1.0)
-            dI += prod * pe * pc
+            val p = pe * pc
+            val prod = prodComp(qi).getOrElse(c.id, 1.0)
+            dI += prod * p
+            if (commit) prodComp(qi)(c.id) = prod * (1.0 - p)
           }
         }
         total += xi * (lambda * dR + etaInv * dI)
@@ -64,45 +84,6 @@ final class CandidateState(engine: KSirEngine, val q: QueryVector) {
       qi += 1
     }
     total
-  }
-
-  /** Add e to S, updating coverage state and the cached f(S, x).
-    * Idempotent: S is a set, so re-adding a member is a no-op.
-    */
-  def add(ae: ActiveElement): Unit = {
-    if (memberIds.contains(ae.elem.id)) return
-    var total = 0.0
-    var qi = 0
-    while (qi < q.entries.length) {
-      val (topic, xi) = q.entries(qi)
-      val ei = VectorOps.indexOf(ae.elem.topics, topic)
-      val pe = if (ei < 0) 0.0 else ae.elem.topics(ei)._2
-      if (pe > 0.0) {
-        var dR = 0.0
-        val sig = ae.sigma(ei)
-        var j = 0
-        while (j < sig.length) {
-          val (w, s) = sig(j)
-          val c = covered(qi).getOrElse(w.toLong, 0.0)
-          if (s > c) { dR += s - c; covered(qi)(w.toLong) = s }
-          j += 1
-        }
-        var dI = 0.0
-        ae.children.foreach { c =>
-          val pc = VectorOps.valueAt(c.childTopics, topic)
-          if (pc > 0.0) {
-            val p = pe * pc
-            val prod = prodComp(qi).getOrElse(c.childId, 1.0)
-            dI += prod * p
-            prodComp(qi)(c.childId) = prod * (1.0 - p)
-          }
-        }
-        total += xi * (lambda * dR + etaInv * dI)
-      }
-      qi += 1
-    }
-    fScore += total
-    memberIds += ae.elem.id
   }
 }
 

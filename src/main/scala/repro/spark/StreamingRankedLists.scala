@@ -72,7 +72,9 @@ object StreamingRankedLists {
     val elemOf = scala.collection.mutable.LongMap.empty[Element]
     buckets.flatMap { b =>
       val ticks = (0 until model.z).map(t => TopicEvent(t, 2, 0L, b.endTs, b.endTs, 0, 0, 0L, 0))
-      val rows = b.elements.flatMap { e =>
+      // (ts, id) order, as the engine applies them: a reference counts only
+      // if its parent came earlier, whatever order the bucket lists them in.
+      val rows = b.elements.sortBy(e => (e.ts, e.id)).flatMap { e =>
         elemOf(e.id) = e
         val inserts = e.topics.map { case (t, pe) =>
           TopicEvent(t, 0, e.id, e.ts, b.endTs, rScore(model, e, t, pe), pe, 0L, 0)

@@ -43,7 +43,7 @@ class KSirEngineSpec extends AnyFunSuite {
     assert(eng.activeElement(1).isEmpty)
     eng.advance(Bucket(7, Seq(el(2, 7, Seq(1), Seq(0 -> 1.0), refs = Seq(1)))))
     assert(eng.activeElement(1).isDefined, "resurrected by the new reference")
-    assert(eng.activeElement(1).get.children.map(_.childId).toSeq == Seq(2L))
+    assert(eng.activeElement(1).get.children.map(_.id).toSeq == Seq(2L))
   }
 
   test("children drop out of the influence score as the window slides") {
